@@ -10,6 +10,7 @@
 //! the platform issues — the 120-second termination notice of paper §3.2.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, PoisonError};
 
 use spotcheck_simcore::rng::SimRng;
 use spotcheck_simcore::slab::IdMap;
@@ -24,6 +25,7 @@ use crate::faults::{FaultEvent, FaultImpact, FaultPlan};
 use crate::ids::{EniId, InstanceId, OpId, PrivateIp, VolumeId};
 use crate::instance::{Contract, Instance, InstanceState};
 use crate::latency::{CloudOp, LatencyModel};
+use crate::ledger::{Fold, Ledger, Slot};
 use crate::storage::{AttachState, Eni, SubnetId, Volume, Vpc};
 use crate::types::{instance_catalog, InstanceSpec};
 
@@ -180,7 +182,9 @@ struct MarketEntry {
 pub struct CloudSim {
     config: CloudConfig,
     catalog: BTreeMap<String, InstanceSpec>,
-    markets: BTreeMap<MarketId, MarketEntry>,
+    /// Loaded markets sorted by id, so a market's index is a stable,
+    /// allocation-free handle (see `CloudSim::market_index_of`).
+    markets: Vec<MarketEntry>,
     instances: IdMap<InstanceId, Instance>,
     /// Instances currently in `Running` state, in id order. Terminated
     /// instances stay in `instances` forever (billing history), so fault
@@ -206,6 +210,9 @@ pub struct CloudSim {
     next_volume: u64,
     next_eni: u64,
     next_op: u64,
+    /// Billing cache behind [`CloudSim::native_cost`]: derived state, kept
+    /// out of [`CloudSim::state_digest`] (see `ledger.rs`).
+    ledger: Mutex<Ledger>,
 }
 
 impl CloudSim {
@@ -217,19 +224,17 @@ impl CloudSim {
             .collect();
         let rng = SimRng::seed(config.seed).fork_named("cloudsim");
         let fault_rng = SimRng::seed(config.seed).fork_named("faults");
+        // Through a map so a market loaded twice keeps its last trace.
+        let by_id: BTreeMap<MarketId, PriceTrace> =
+            traces.into_iter().map(|t| (t.market.clone(), t)).collect();
         CloudSim {
             config,
             catalog,
-            markets: traces
-                .into_iter()
-                .map(|t| {
-                    (
-                        t.market.clone(),
-                        MarketEntry {
-                            trace: t,
-                            cursor: TraceCursor::new(),
-                        },
-                    )
+            markets: by_id
+                .into_values()
+                .map(|trace| MarketEntry {
+                    trace,
+                    cursor: TraceCursor::new(),
                 })
                 .collect(),
             instances: IdMap::new(),
@@ -248,6 +253,7 @@ impl CloudSim {
             next_volume: 0,
             next_eni: 0,
             next_op: 0,
+            ledger: Mutex::default(),
         }
     }
 
@@ -261,20 +267,44 @@ impl CloudSim {
         self.catalog.get(type_name)
     }
 
-    /// Returns the loaded spot markets.
+    /// Returns the loaded spot markets, in id order.
     pub fn markets(&self) -> impl Iterator<Item = &MarketId> {
-        self.markets.keys()
+        self.markets.iter().map(|e| &e.trace.market)
+    }
+
+    /// Index of the market a spot instance buys from, found without
+    /// building a `MarketId` (`MarketId` orders by type, then zone).
+    fn market_index_of(&self, inst: &Instance) -> Option<usize> {
+        if !inst.contract.is_spot() {
+            return None;
+        }
+        self.markets
+            .binary_search_by(|e| {
+                let m = &e.trace.market;
+                m.type_name
+                    .cmp(&inst.spec.type_name)
+                    .then_with(|| m.zone.cmp(&inst.zone))
+            })
+            .ok()
+    }
+
+    fn market_entry(&self, market: &MarketId) -> Option<&MarketEntry> {
+        let i = self
+            .markets
+            .binary_search_by(|e| e.trace.market.cmp(market))
+            .ok()?;
+        Some(&self.markets[i])
     }
 
     /// Returns the price trace of a market, if loaded.
     pub fn market_trace(&self, market: &MarketId) -> Option<&PriceTrace> {
-        self.markets.get(market).map(|e| &e.trace)
+        self.market_entry(market).map(|e| &e.trace)
     }
 
     /// Returns the current spot price in a market (cursor-accelerated;
     /// identical to `trace.price_at(now)`).
     pub fn spot_price(&self, market: &MarketId, now: SimTime) -> Option<f64> {
-        let e = self.markets.get(market)?;
+        let e = self.market_entry(market)?;
         e.cursor.price_at(&e.trace, now)
     }
 
@@ -282,7 +312,7 @@ impl CloudSim {
     /// (cursor-accelerated; identical to
     /// `trace.prices.next_change_after(now)`).
     pub fn next_change_after(&self, market: &MarketId, now: SimTime) -> Option<(SimTime, f64)> {
-        let e = self.markets.get(market)?;
+        let e = self.market_entry(market)?;
         e.cursor.next_change_after(&e.trace, now)
     }
 
@@ -291,12 +321,13 @@ impl CloudSim {
     pub fn next_price_change_after(&self, now: SimTime) -> Option<(SimTime, MarketId)> {
         self.markets
             .iter()
-            .filter_map(|(id, e)| {
+            .filter_map(|e| {
                 e.cursor
                     .next_change_after(&e.trace, now)
-                    .map(|(at, _)| (at, id.clone()))
+                    .map(|(at, _)| (at, &e.trace.market))
             })
             .min_by_key(|(at, _)| *at)
+            .map(|(at, id)| (at, id.clone()))
     }
 
     /// Syncs the running-instance indexes with `id`'s current state. Call
@@ -440,9 +471,7 @@ impl CloudSim {
                     let Some(inst) = self.instances.get_mut(&id) else {
                         continue;
                     };
-                    if inst.market().as_ref() == Some(market)
-                        && matches!(inst.state, InstanceState::Running)
-                    {
+                    if inst.in_market(market) && matches!(inst.state, InstanceState::Running) {
                         inst.state = InstanceState::RevocationPending { terminate_at };
                         impact.warnings.push(RevocationWarning {
                             instance: id,
@@ -610,7 +639,7 @@ impl CloudSim {
             let Some(inst) = self.instances.get_mut(&id) else {
                 continue;
             };
-            if inst.market().as_ref() == Some(market)
+            if inst.in_market(market)
                 && matches!(inst.state, InstanceState::Running)
                 && inst.contract.bid().is_some_and(|bid| bid < price)
             {
@@ -862,7 +891,10 @@ impl CloudSim {
             OpKind::StartInstance(id) => {
                 let market_price = {
                     let inst = self.instances.get(&id).ok_or(CloudError::UnknownInstance(id))?;
-                    inst.market().and_then(|m| self.spot_price(&m, now))
+                    self.market_index_of(inst).and_then(|i| {
+                        let e = &self.markets[i];
+                        e.cursor.price_at(&e.trace, now)
+                    })
                 };
                 let inst = self
                     .instances
@@ -986,7 +1018,10 @@ impl CloudSim {
     ///
     /// Fails if the instance (or its spot market trace) is unknown.
     pub fn instance_cost(&self, id: InstanceId, until: SimTime) -> Result<f64, CloudError> {
-        let inst = self.instance(id)?;
+        self.cost_of(self.instance(id)?, until)
+    }
+
+    fn cost_of(&self, inst: &Instance, until: SimTime) -> Result<f64, CloudError> {
         let Some(start) = inst.started_at else {
             return Ok(0.0);
         };
@@ -1002,13 +1037,12 @@ impl CloudSim {
                 self.config.billing,
             )),
             Contract::Spot { bid } => {
-                let market = inst.market().ok_or_else(|| {
-                    CloudError::InvalidState(format!("spot instance {id} has no market"))
-                })?;
                 let entry = self
-                    .markets
-                    .get(&market)
-                    .ok_or_else(|| CloudError::UnknownMarket(market.to_string()))?;
+                    .market_index_of(inst)
+                    .map(|i| &self.markets[i])
+                    .ok_or_else(|| {
+                        CloudError::UnknownMarket(format!("{}@{}", inst.spec.type_name, inst.zone))
+                    })?;
                 Ok(spot_cost(
                     &entry.trace,
                     start,
@@ -1019,6 +1053,64 @@ impl CloudSim {
                 ))
             }
         }
+    }
+
+    /// The accrued cost of every instance ever created, from its start
+    /// through `until` (or its termination), summed in id order: the left
+    /// fold of [`CloudSim::instance_cost`] over [`CloudSim::instances`],
+    /// with an unknown spot market billed 0.
+    ///
+    /// Served through the billing ledger (`ledger.rs`): after the first
+    /// report, a report costs the price changes since the previous one
+    /// plus one slot read per instance, and its result is bit-identical
+    /// to the from-scratch fold.
+    pub fn native_cost(&self, until: SimTime) -> f64 {
+        // A poisoned ledger is still sound: every slot is written whole,
+        // and each slot is correct for every report it is used for.
+        let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut total = 0.0;
+        for inst in self.instances.values() {
+            total += self.ledger_cost(ledger.slot(inst.id.0), inst, until);
+        }
+        total
+    }
+
+    /// One instance's cost at `until` through its ledger slot.
+    fn ledger_cost(&self, slot: &mut Slot, inst: &Instance, until: SimTime) -> f64 {
+        let settled = inst.is_terminated() && inst.terminated_at.is_some_and(|t| t <= until);
+        // The billed window of a started Continuous-mode spot instance.
+        let window = match (inst.started_at, inst.contract, self.config.billing) {
+            (Some(start), Contract::Spot { bid }, BillingMode::Continuous) => {
+                let end = inst.terminated_at.unwrap_or(until).min(until);
+                (end > start).then_some((bid, start, end))
+            }
+            _ => None,
+        };
+        let fold = match (*slot, window) {
+            (Slot::Final(cost), _) if settled => return cost,
+            (Slot::Fold(f), Some(w)) if f.reaches(w.2) => Some((f, w)),
+            (Slot::Scratch, Some(w)) => self
+                .market_index_of(inst)
+                .and_then(|i| Fold::new(i as u32, self.markets[i].trace.prices.points(), w.1))
+                .map(|f| (f, w)),
+            // Anything else, including a report before a memo's
+            // termination or a fold's cursor, is computed from scratch
+            // and leaves the slot as it is.
+            _ => None,
+        };
+        let cost = match fold {
+            Some((mut f, (bid, start, end))) => {
+                let points = self.markets[f.market as usize].trace.prices.points();
+                let cost = f.cost(points, bid, start, end);
+                *slot = Slot::Fold(f);
+                cost
+            }
+            None => self.cost_of(inst, until).unwrap_or(0.0),
+        };
+        if settled {
+            *slot = Slot::Final(cost);
+        }
+        cost
     }
 
     /// Iterates over all instances.
@@ -1331,6 +1423,34 @@ mod tests {
         assert_eq!(at, SimTime::from_secs(1_000));
         assert_eq!(market, MarketId::new("m3.medium", "us-east-1a"));
         assert!(c.next_price_change_after(SimTime::from_secs(2_000)).is_none());
+    }
+
+    #[test]
+    fn instances_find_their_market_across_types_and_zones() {
+        // Markets sort by type, then zone; the allocation-free lookup by
+        // an instance's own type and zone must find each one.
+        let mut traces = Vec::new();
+        for (i, ty) in ["m3.large", "m3.medium"].into_iter().enumerate() {
+            for (j, z) in ["us-east-1a", "us-east-1b"].into_iter().enumerate() {
+                let price = 0.01 + 0.01 * (2 * i + j) as f64;
+                let s = StepSeries::from_points(vec![(SimTime::ZERO, price)]);
+                traces.push(PriceTrace::new(MarketId::new(ty, z), 0.2, s));
+            }
+        }
+        traces.reverse();
+        let mut c = CloudSim::new(traces, CloudConfig::default());
+        let until = SimTime::from_hours(2);
+        for (i, ty) in ["m3.large", "m3.medium"].into_iter().enumerate() {
+            for (j, z) in ["us-east-1a", "us-east-1b"].into_iter().enumerate() {
+                let zone = ZoneName::new(z);
+                let (id, op, ready) = c.request_spot(ty, &zone, 1.0, SimTime::ZERO).unwrap();
+                c.complete_op(op, ready).unwrap();
+                let price = 0.01 + 0.01 * (2 * i + j) as f64;
+                let want = price * until.since(ready).as_hours_f64();
+                let got = c.instance_cost(id, until).unwrap();
+                assert!((got - want).abs() < 1e-12, "{ty}@{z}: {got} != {want}");
+            }
+        }
     }
 
     #[test]

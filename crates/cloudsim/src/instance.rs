@@ -93,6 +93,15 @@ impl Instance {
         }
     }
 
+    /// Returns true if this is a spot instance buying from `market`.
+    /// Unlike comparing against [`Instance::market`], this builds no
+    /// `MarketId`, so hot sweeps over running instances allocate nothing.
+    pub fn in_market(&self, market: &MarketId) -> bool {
+        self.contract.is_spot()
+            && self.spec.type_name == market.type_name
+            && self.zone == market.zone
+    }
+
     /// Returns true if the instance is in a state where it can host work
     /// (running, possibly under a revocation warning).
     pub fn is_usable(&self) -> bool {
@@ -137,6 +146,9 @@ mod tests {
             Some(MarketId::new("m3.medium", "us-east-1a"))
         );
         assert_eq!(i.contract.bid(), Some(0.07));
+        assert!(i.in_market(&MarketId::new("m3.medium", "us-east-1a")));
+        assert!(!i.in_market(&MarketId::new("m3.medium", "us-east-1b")));
+        assert!(!i.in_market(&MarketId::new("m3.large", "us-east-1a")));
     }
 
     #[test]
@@ -145,6 +157,7 @@ mod tests {
         assert_eq!(i.market(), None);
         assert!(!i.contract.is_spot());
         assert_eq!(i.contract.bid(), None);
+        assert!(!i.in_market(&MarketId::new("m3.medium", "us-east-1a")));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   distributions calibrated to the paper's **Table 1** measurements;
 //! - **EBS volumes** and **VPC/ENI private IPs** that can be detached from
 //!   a dying host and reattached at a migration destination;
-//! - **billing** in both continuous and 2014-EC2 hourly modes.
+//! - **billing** in both continuous and 2014-EC2 hourly modes, with cost
+//!   reports served through an exact incremental ledger.
 //!
 //! The simulator is passive and deterministic: methods take the current
 //! time, asynchronous operations return completion instants for the driver
@@ -28,6 +29,7 @@ pub mod faults;
 pub mod ids;
 pub mod instance;
 pub mod latency;
+mod ledger;
 pub mod storage;
 pub mod types;
 

@@ -165,3 +165,125 @@ fn instance_cost_respects_bid() {
         assert!(cost >= 0.0, "case {case}");
     }
 }
+
+/// The from-scratch reference for `CloudSim::native_cost`: the left fold
+/// of `instance_cost` over every instance, in id order.
+fn scratch_native_cost(cloud: &CloudSim, until: SimTime) -> f64 {
+    let mut total = 0.0;
+    for inst in cloud.instances() {
+        total += cloud.instance_cost(inst.id, until).unwrap_or(0.0);
+    }
+    total
+}
+
+/// A trace in `market` whose first change point is at `first`.
+fn market_trace(rng: &mut SimRng, type_name: &str, first: SimTime) -> PriceTrace {
+    let mut s = StepSeries::new();
+    let mut t = first;
+    for _ in 0..rng.gen_range(20, 120) {
+        s.push(t, f64_in(rng, 0.005, 0.3));
+        t += SimDuration::from_secs(rng.gen_range(60, 3_600));
+    }
+    PriceTrace::new(MarketId::new(type_name, "z"), 0.5, s)
+}
+
+/// The billing ledger behind `native_cost` is bit-exact against the
+/// from-scratch fold at every report, under random lifecycles (spot and
+/// on-demand, revoked, user-terminated, spot boots that lose their price
+/// race) and reports at
+/// repeated, increasing and earlier instants, in both billing modes.
+#[test]
+fn native_cost_ledger_matches_scratch_fold() {
+    let types = ["m3.medium", "m3.large", "m3.xlarge"];
+    let zone = ZoneName::new("z");
+    let mut rng = SimRng::seed(0x1ED6E2);
+    let mut reports = 0u64;
+    for case in 0..CASES {
+        for billing in [BillingMode::Continuous, BillingMode::HourlySpot2014] {
+            // The third market's trace starts late, so spot requests there
+            // fail until it does.
+            let traces = vec![
+                market_trace(&mut rng, types[0], SimTime::ZERO),
+                market_trace(&mut rng, types[1], SimTime::ZERO),
+                market_trace(&mut rng, types[2], SimTime::from_hours(3)),
+            ];
+            let markets: Vec<MarketId> = traces.iter().map(|t| t.market.clone()).collect();
+            let config = CloudConfig {
+                billing,
+                seed: case,
+                ..CloudConfig::default()
+            };
+            let mut cloud = CloudSim::new(traces, config);
+            let mut ops = Vec::new();
+            let mut warnings = Vec::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.gen_range(20, 80) {
+                // Zero-length steps make repeated report instants.
+                now += SimDuration::from_secs(rng.gen_range(0, 4) * rng.gen_range(0, 1_800));
+                ops.retain(|&(op, ready)| {
+                    ready > now || {
+                        let _ = cloud.complete_op(op, now);
+                        false
+                    }
+                });
+                for m in &markets {
+                    warnings.extend(cloud.apply_price_change(m, now));
+                }
+                warnings.retain(|w| {
+                    w.terminate_at > now || {
+                        let _ = cloud.force_terminate(w.instance, now);
+                        false
+                    }
+                });
+                let ty = types[rng.gen_range(0, 3) as usize];
+                match rng.gen_range(0, 5) {
+                    0 => {
+                        let bid = f64_in(&mut rng, 0.01, 0.35);
+                        if let Ok((_, op, ready)) = cloud.request_spot(ty, &zone, bid, now) {
+                            ops.push((op, ready));
+                        }
+                    }
+                    1 => {
+                        if let Ok((_, op, ready)) = cloud.request_on_demand(ty, &zone, now) {
+                            ops.push((op, ready));
+                        }
+                    }
+                    2 => {
+                        let live: Vec<_> = cloud
+                            .instances()
+                            .filter(|i| i.is_usable())
+                            .map(|i| i.id)
+                            .collect();
+                        if !live.is_empty() {
+                            let id = live[rng.gen_range(0, live.len() as u64) as usize];
+                            if let Ok((op, ready)) = cloud.terminate(id, now) {
+                                ops.push((op, ready));
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                let back = SimDuration::from_secs(rng.gen_range(0, 20_000));
+                let ahead = SimDuration::from_secs(rng.gen_range(0, 20_000));
+                let queries = [
+                    now,
+                    now,
+                    SimTime::from_micros(now.as_micros().saturating_sub(back.as_micros())),
+                    now + ahead,
+                    now,
+                ];
+                for until in queries.iter().take(rng.gen_range(1, 6) as usize) {
+                    let got = cloud.native_cost(*until);
+                    let want = scratch_native_cost(&cloud, *until);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "case {case} {billing:?} until {until}: ledger {got} != scratch {want}"
+                    );
+                    reports += 1;
+                }
+            }
+        }
+    }
+    assert!(reports > 1_000, "only {reports} reports compared");
+}

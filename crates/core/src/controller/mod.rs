@@ -686,10 +686,7 @@ impl Controller {
 
     /// Cost report at `now`.
     pub fn cost_report(&self, now: SimTime) -> CostReport {
-        let mut native = 0.0;
-        for inst in self.cloud.instances() {
-            native += self.cloud.instance_cost(inst.id, now).unwrap_or(0.0);
-        }
+        let native = self.cloud.native_cost(now);
         let mut backup = 0.0;
         for (id, birth) in self.backup_birth.iter() {
             // A failed backup server stops billing at its death.

@@ -63,10 +63,7 @@ impl Controller {
             if !matches!(i.state, InstanceState::Pending) {
                 return None;
             }
-            let in_scope = match i.market() {
-                Some(m) => markets.contains(&m),
-                None => true,
-            };
+            let in_scope = !i.contract.is_spot() || markets.iter().any(|m| i.in_market(m));
             if in_scope && (waiters.len() as u32) < i.spec.medium_slots {
                 Some((inst, i.market()))
             } else {

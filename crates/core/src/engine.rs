@@ -12,7 +12,8 @@
 //! # Command log and replay
 //!
 //! Every externally injected command is appended to an in-order command
-//! log with its exact simulation time. Because the simulation itself is
+//! log with its exact simulation time and the engine's step count at
+//! that moment. Because the simulation itself is
 //! deterministic (seeded RNG streams, FIFO tie-breaking queues), the pair
 //! *(scenario, command log)* fully determines every subsequent state: a
 //! fresh engine built from the same [`Scenario`] that replays the same
@@ -21,11 +22,14 @@
 //! state. [`crate::snapshot`] builds crash-consistent restarts on exactly
 //! this property.
 //!
-//! The replay discipline that makes interleaving reproducible: a command
-//! is only ever applied after `step_until(t)` has settled every event at
-//! or before its recorded time `t`, and commands recorded at the same
-//! instant are applied in log order. Live mode and replay both follow
-//! this rule, so event/command interleavings cannot diverge.
+//! The replay discipline that makes interleaving reproducible: replay
+//! applies a command once the engine has processed exactly the recorded
+//! number of events and its clock reads the recorded time
+//! (`Engine::step_to`). Stepping to the time alone is not enough: a
+//! live command can be applied while events due at that same instant are
+//! still pending (a provision schedules its first event at *now*, so a
+//! second command in the same instant runs before it), and replay must
+//! leave them pending too. Commands are applied in log order.
 
 use spotcheck_cloudsim::cloud::{CloudConfig, CloudSim};
 use spotcheck_nestedvm::vm::NestedVmId;
@@ -249,14 +253,19 @@ pub enum CommandOutcome {
 }
 
 /// One logged command: its dense sequence number, the simulation instant
-/// it was applied at, whether it was journaled (externally injected) or
-/// quiet (scripted through the synchronous facade), and the command.
+/// and engine step count it was applied at, whether it was journaled
+/// (externally injected) or quiet (scripted through the synchronous
+/// facade), and the command.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedCommand {
     /// Dense 0-based sequence number (log position).
     pub seq: u64,
     /// The simulation instant the command was applied at.
     pub at: SimTime,
+    /// Events the engine had processed when the command was applied.
+    /// Events due at `at` itself may still have been pending, so replay
+    /// steps to this count rather than to the instant.
+    pub step: u64,
     /// True if the command was journaled (the [`Engine::apply`] path).
     pub journaled: bool,
     /// The command.
@@ -424,24 +433,19 @@ impl Engine {
     ) -> Result<CommandOutcome, ControllerError> {
         let now = self.sim.now();
         let seq = self.commands.len() as u64;
+        let step = self.sim.steps();
         self.commands.push(TimedCommand {
             seq,
             at: now,
+            step,
             journaled,
             cmd,
         });
         if journaled {
-            let (a, b, c) = cmd.encode_args();
             self.sim.world_mut().controller_mut().journal_mut().record(
                 now,
                 Subsystem::Controller,
-                Record::Command {
-                    seq,
-                    cmd: cmd.kind(),
-                    a,
-                    b,
-                    c,
-                },
+                Record::Command { seq, step, cmd },
             );
         }
         self.exec(cmd, now)
@@ -476,15 +480,15 @@ impl Engine {
         }
     }
 
-    /// Replays a logged command: advances to its recorded instant, then
-    /// applies it through the same (journaled or quiet) path it originally
-    /// took.
+    /// Replays a logged command: advances to its recorded step count and
+    /// instant (see `Engine::step_to`), then applies it through the
+    /// same (journaled or quiet) path it originally took.
     ///
     /// # Errors
     ///
-    /// Returns an error message if the engine's log position or clock
-    /// cannot reach the command's recorded coordinates — which means the
-    /// command stream does not extend this engine's history.
+    /// Returns an error message if the engine's log position, step count
+    /// or clock cannot reach the command's recorded coordinates — which
+    /// means the command stream does not extend this engine's history.
     pub fn replay(&mut self, cmd: &TimedCommand) -> Result<(), String> {
         let expect_seq = self.commands.len() as u64;
         if cmd.seq != expect_seq {
@@ -493,19 +497,44 @@ impl Engine {
                 cmd.seq, expect_seq
             ));
         }
-        if cmd.at < self.sim.now() {
-            return Err(format!(
-                "replay into the past: command at {} but engine is at {}",
-                cmd.at,
-                self.sim.now()
-            ));
-        }
-        self.step_until(cmd.at);
+        self.step_to(cmd.step, cmd.at)
+            .map_err(|e| format!("replay of command {}: {e}", cmd.seq))?;
         // The original outcome (including a rejection) is determined by
         // the deterministic state, so it is intentionally not stored or
         // compared — the state signature at the end of replay is the
         // actual proof of convergence.
         let _ = self.apply_inner(cmd.cmd, cmd.journaled);
+        Ok(())
+    }
+
+    /// Processes events until exactly `steps` have been processed, then
+    /// moves the clock to `at` without processing more: the coordinates a
+    /// live engine had when it logged a command or took a snapshot.
+    ///
+    /// Stepping to the instant instead would also fire events due at `at`
+    /// that the live engine had not processed yet — a provision applied
+    /// at `at` schedules its first event at `at`, so the second of two
+    /// commands in one instant would see a different state.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the engine is already past `steps` or `at`, or if the
+    /// events due by `at` do not add up to `steps`.
+    pub(crate) fn step_to(&mut self, steps: u64, at: SimTime) -> Result<(), String> {
+        let now = self.sim.now();
+        if at < now {
+            return Err(format!("target instant {at} is before the engine's {now}"));
+        }
+        while self.sim.steps() < steps && self.sim.next_event_time().is_some_and(|t| t <= at) {
+            self.sim.step();
+        }
+        if self.sim.steps() != steps || !self.sim.advance_clock(at) {
+            return Err(format!(
+                "replay diverged: recorded step {steps} at {at}, engine at step {} by {}",
+                self.sim.steps(),
+                self.sim.now()
+            ));
+        }
         Ok(())
     }
 
@@ -522,6 +551,7 @@ impl Engine {
         for c in &self.commands {
             d.write_u64(c.seq);
             d.write_u64(c.at.as_micros());
+            d.write_u64(c.step);
             d.write_bool(c.journaled);
             d.write_str(c.cmd.kind());
             let (a, b, v) = c.cmd.encode_args();

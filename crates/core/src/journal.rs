@@ -320,14 +320,10 @@ pub enum Record {
     Command {
         /// Dense position in the engine's command log.
         seq: u64,
-        /// The command kind (see `crate::engine::Command::kind`).
-        cmd: &'static str,
-        /// First encoded argument.
-        a: u64,
-        /// Second encoded argument.
-        b: u64,
-        /// Third encoded argument.
-        c: u64,
+        /// Events the engine had processed when the command was applied.
+        step: u64,
+        /// The command (rendered as its kind and encoded arguments).
+        cmd: crate::engine::Command,
     },
 }
 
@@ -457,10 +453,12 @@ impl Record {
                     mig.0, vm.0
                 );
             }
-            Record::Command { seq, cmd, a, b, c } => {
+            Record::Command { seq, step, cmd } => {
+                let (a, b, c) = cmd.encode_args();
                 let _ = write!(
                     s,
-                    r#", "seq": {seq}, "cmd": "{cmd}", "a": {a}, "b": {b}, "c": {c}"#
+                    r#", "seq": {seq}, "step": {step}, "cmd": "{}", "a": {a}, "b": {b}, "c": {c}"#,
+                    cmd.kind()
                 );
             }
         }

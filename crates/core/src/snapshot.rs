@@ -15,7 +15,7 @@
 //!
 //! Restore rebuilds a fresh engine from the same scenario, replays the
 //! command log under the [replay discipline](crate::engine), advances to
-//! the snapshot instant, and then *verifies* the step count and state
+//! the snapshot's step count and instant, and then *verifies* the state
 //! signature. A mismatch — different scenario inputs, a corrupted log, a
 //! code change that altered the trajectory — is a hard error, never a
 //! silently wrong resume. Restore cost is O(history) simulated events
@@ -23,22 +23,24 @@
 //! targets that is seconds of wall clock, and the journal spill sink
 //! keeps the tail of commands past the snapshot equally replayable.
 //!
-//! # Text format (version 1)
+//! # Text format (version 2)
 //!
 //! ```text
-//! spotcheck-snapshot v1
+//! spotcheck-snapshot v2
 //! scenario <16-hex digest>
 //! taken_at <micros>
 //! steps <count>
 //! commands <count>
-//! cmd <seq> <micros> <kind> <a> <b> <c> <journaled:0|1>
+//! cmd <seq> <micros> <step> <kind> <a> <b> <c> <journaled:0|1>
 //! ...
 //! signature <16-hex digest>
 //! ```
 //!
 //! Line-oriented, integer-only (times in exact microseconds, digests in
 //! hex), self-describing counts — parseable without any serialization
-//! dependency and diffable by eye.
+//! dependency and diffable by eye. Version 1 lacked each command's step
+//! count, without which same-instant commands cannot be replayed
+//! exactly; its `cmd` lines are refused with their line number.
 
 use std::fmt;
 use std::io;
@@ -50,7 +52,7 @@ use spotcheck_simcore::time::SimTime;
 use crate::engine::{Command, Engine, Scenario, TimedCommand};
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A parsed (or freshly taken) engine snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +148,7 @@ impl fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 impl Snapshot {
-    /// Renders the snapshot in the version-1 text format.
+    /// Renders the snapshot in the version-2 text format.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(128 + self.commands.len() * 48);
@@ -159,9 +161,10 @@ impl Snapshot {
             let (a, b, v) = c.cmd.encode_args();
             let _ = writeln!(
                 s,
-                "cmd {} {} {} {a} {b} {v} {}",
+                "cmd {} {} {} {} {a} {b} {v} {}",
                 c.seq,
                 c.at.as_micros(),
+                c.step,
                 c.cmd.kind(),
                 u64::from(c.journaled)
             );
@@ -170,7 +173,7 @@ impl Snapshot {
         s
     }
 
-    /// Parses the version-1 text format.
+    /// Parses the version-2 text format.
     ///
     /// # Errors
     ///
@@ -220,8 +223,8 @@ impl Snapshot {
             let (n, v) = field(&mut lines, "cmd")
                 .map_err(|e| err(e.line, format!("command {i}: {}", e.reason)))?;
             let parts: Vec<&str> = v.split(' ').collect();
-            if parts.len() != 7 {
-                return Err(err(n, format!("command {i}: want 7 fields")));
+            if parts.len() != 8 {
+                return Err(err(n, format!("command {i}: want 8 fields")));
             }
             let seq: u64 = parts[0].parse().map_err(|_| err(n, "bad seq"))?;
             if seq != i as u64 {
@@ -231,19 +234,21 @@ impl Snapshot {
                 .parse()
                 .map(SimTime::from_micros)
                 .map_err(|_| err(n, "bad command time"))?;
-            let a: u64 = parts[3].parse().map_err(|_| err(n, "bad arg a"))?;
-            let b: u64 = parts[4].parse().map_err(|_| err(n, "bad arg b"))?;
-            let c: u64 = parts[5].parse().map_err(|_| err(n, "bad arg c"))?;
-            let journaled = match parts[6] {
+            let step: u64 = parts[2].parse().map_err(|_| err(n, "bad command step"))?;
+            let a: u64 = parts[4].parse().map_err(|_| err(n, "bad arg a"))?;
+            let b: u64 = parts[5].parse().map_err(|_| err(n, "bad arg b"))?;
+            let c: u64 = parts[6].parse().map_err(|_| err(n, "bad arg c"))?;
+            let journaled = match parts[7] {
                 "0" => false,
                 "1" => true,
                 _ => return Err(err(n, "bad journaled flag")),
             };
-            let cmd = Command::decode(parts[2], a, b, c)
-                .ok_or_else(|| err(n, format!("unknown command kind `{}`", parts[2])))?;
+            let cmd = Command::decode(parts[3], a, b, c)
+                .ok_or_else(|| err(n, format!("unknown command kind `{}`", parts[3])))?;
             commands.push(TimedCommand {
                 seq,
                 at,
+                step,
                 journaled,
                 cmd,
             });
@@ -345,8 +350,7 @@ impl Engine {
         for cmd in &snap.commands {
             engine.replay(cmd).map_err(RestoreError::Replay)?;
         }
-        engine.step_until(snap.taken_at);
-        if engine.steps() != snap.steps {
+        if engine.step_to(snap.steps, snap.taken_at).is_err() {
             return Err(RestoreError::StepMismatch {
                 expected: snap.steps,
                 actual: engine.steps(),
@@ -471,6 +475,56 @@ mod tests {
         assert!(Snapshot::parse(truncated).is_err());
         let reordered = text.replace("cmd 0", "cmd 9");
         assert!(Snapshot::parse(&reordered).is_err());
+    }
+
+    #[test]
+    fn version_1_command_lines_are_refused_by_line() {
+        let scenario = quick_scenario();
+        let text = driven_engine(&scenario).snapshot().to_text();
+        // Version 1 had no step field: drop it from every command line.
+        let old: String = text
+            .replace("spotcheck-snapshot v2", "spotcheck-snapshot v1")
+            .lines()
+            .map(|l| match l.strip_prefix("cmd ") {
+                Some(rest) => {
+                    let mut f: Vec<&str> = rest.split(' ').collect();
+                    f.remove(2);
+                    format!("cmd {}\n", f.join(" "))
+                }
+                None => format!("{l}\n"),
+            })
+            .collect();
+        let err = Snapshot::parse(&old).expect_err("v1 command line refused");
+        assert_eq!(err.line, 6, "{err}");
+        assert!(err.reason.contains("want 8 fields"), "{err}");
+    }
+
+    #[test]
+    fn same_instant_commands_restore_with_pending_events() {
+        let scenario = quick_scenario();
+        let mut engine = scenario.build();
+        let c = match engine.apply(Command::CreateCustomer) {
+            Ok(CommandOutcome::Customer(c)) => c,
+            other => panic!("unexpected outcome {other:?}"),
+        };
+        engine.step_until(SimTime::from_hours(1));
+        for workload in [WorkloadKind::TpcW, WorkloadKind::SpecJbb] {
+            engine
+                .apply(Command::Provision {
+                    customer: c,
+                    workload,
+                    stateless: false,
+                })
+                .unwrap();
+        }
+        let snap = engine.snapshot();
+        let mut restored = Engine::restore(&scenario, &snap).expect("restore");
+        assert_eq!(restored.steps(), engine.steps());
+        assert_eq!(restored.state_signature(), engine.state_signature());
+        // The provisions' events due now were still pending, in both.
+        assert!(restored.drain_ready() > 0);
+        assert!(engine.drain_ready() > 0);
+        assert_eq!(restored.state_signature(), engine.state_signature());
     }
 
     #[test]

@@ -216,8 +216,15 @@ impl Daemon {
 
     /// Advances the engine to `t` immediately, ignoring wall-clock pacing
     /// (scripted drives and tests; [`Daemon::run`] paces on its own).
+    ///
+    /// Like the paced loop, a target at or before the engine's clock is a
+    /// no-op: events that commands scheduled at the current instant stay
+    /// pending until time moves on, so a resumed daemon advanced to the
+    /// instant it resumed at keeps the live run's state.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.engine.step_until(t);
+        if t > self.engine.now() {
+            self.engine.step_until(t);
+        }
     }
 
     /// Flushes the journal sink, if one is open.
@@ -581,6 +588,7 @@ pub fn read_command_tail(path: &Path, from_seq: u64) -> std::io::Result<Vec<Time
         tail.push(TimedCommand {
             seq,
             at: SimTime::from_micros((t * 1e6).round() as u64),
+            step: get("step")?,
             journaled: true,
             cmd,
         });

@@ -227,3 +227,116 @@ fn protocol_round_trips_without_a_socket() {
         .contains("\"shutting_down\": true"));
     assert!(daemon.shutdown_requested());
 }
+
+/// Two commands in one instant: the first provision schedules its first
+/// event at that instant, and the second command is applied before that
+/// event runs. Resume must replay both at the recorded step count — from
+/// the snapshot's command log and from the sink tail — instead of firing
+/// the pending event first.
+#[test]
+fn same_instant_commands_resume_to_the_live_signature() {
+    let dir = scratch_dir("same-instant");
+    let scenario = quick_scenario();
+    let config = DaemonConfig {
+        accel: 1.0,
+        horizon: SimTime::from_days(2),
+        snapshot_dir: Some(dir.join("snapshots")),
+        snapshot_every: SimDuration::from_days(2),
+        journal_sink: Some(dir.join("journal.jsonl")),
+    };
+    let provision = r#"{"op": "provision", "customer": 0, "workload": "tpcw"}"#;
+    let (want_signature, want_now) = {
+        let mut daemon = Daemon::new(scenario.clone(), config.clone()).expect("daemon");
+        assert!(daemon.handle_line(r#"{"op": "create_customer"}"#).contains("\"ok\": true"));
+        daemon.advance_to(SimTime::from_hours(1));
+        assert!(daemon.handle_line(provision).contains("\"vm\": 0"));
+        assert!(daemon.handle_line(provision).contains("\"vm\": 1"));
+        // The snapshot is taken with the provisions' events still pending.
+        daemon.write_snapshot().expect("snapshot");
+        daemon.advance_to(SimTime::from_hours(3));
+        assert!(daemon.handle_line(provision).contains("\"vm\": 2"));
+        assert!(daemon.handle_line(r#"{"op": "release", "vm": 0}"#).contains("\"ok\": true"));
+        daemon.flush().expect("flush sink");
+        (daemon.engine().state_signature(), daemon.engine().now())
+    };
+
+    let mut revived = Daemon::resume(scenario, config).expect("resume");
+    assert_eq!(revived.engine().now(), want_now);
+    assert_eq!(revived.engine().state_signature(), want_signature);
+    // Advancing to the instant it resumed at leaves the pending events
+    // pending, as in the live run.
+    revived.advance_to(want_now);
+    assert_eq!(revived.engine().state_signature(), want_signature);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sink line written before command records carried their step count
+/// is refused with its line number, not replayed at a guessed position.
+#[test]
+fn sink_command_without_step_is_a_line_numbered_error() {
+    let dir = scratch_dir("old-sink");
+    let sink = dir.join("journal.jsonl");
+    std::fs::write(
+        &sink,
+        "{\"t\": 0.0, \"subsystem\": \"controller\", \"kind\": \"command\", \
+         \"seq\": 0, \"cmd\": \"create_customer\", \"a\": 0, \"b\": 0, \"c\": 0}\n",
+    )
+    .expect("write sink");
+    let err = read_command_tail(&sink, 0).expect_err("old line refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("sink line 1: bad `step`"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Drives a two-client session for a simulated day (two commands per
+/// ten-minute tick, snapshots every 6 h), scraping `GET metrics` every
+/// tick or only at the end, and returns the final metrics line.
+fn scripted_session(dir: &std::path::Path, scrape_every_tick: bool) -> (String, DaemonConfig) {
+    let config = DaemonConfig {
+        accel: 1.0,
+        horizon: SimTime::from_days(2),
+        snapshot_dir: Some(dir.join("snapshots")),
+        snapshot_every: SimDuration::from_days(2),
+        journal_sink: Some(dir.join("journal.jsonl")),
+    };
+    let mut daemon = Daemon::new(quick_scenario(), config.clone()).expect("daemon");
+    assert!(daemon.handle_line(r#"{"op": "create_customer"}"#).contains("\"ok\": true"));
+    let mut vms = 0u64;
+    for tick in 1..=144u64 {
+        daemon.advance_to(SimTime::from_secs(tick * 600));
+        for client in 0..2u64 {
+            let line = if (tick + client) % 3 == 0 && vms > 4 {
+                format!(r#"{{"op": "release", "vm": {}}}"#, (tick * 7 + client) % vms)
+            } else {
+                vms += 1;
+                r#"{"op": "provision", "customer": 0}"#.to_string()
+            };
+            assert!(daemon.handle_line(&line).starts_with("{\"ok\""), "{line}");
+        }
+        if scrape_every_tick {
+            assert!(daemon.handle_line("GET metrics").starts_with("{\"ok\": true"));
+        }
+        if tick % 36 == 0 {
+            daemon.write_snapshot().expect("snapshot");
+        }
+    }
+    daemon.flush().expect("flush sink");
+    (daemon.handle_line("GET metrics"), config)
+}
+
+/// The billing ledger is a cache: how often a session scrapes, and
+/// whether the daemon was resumed from disk, must not change a byte of
+/// the final `metrics` line.
+#[test]
+fn metrics_line_is_independent_of_scrape_cadence_and_resume() {
+    let every_dir = scratch_dir("scrape-every-tick");
+    let end_dir = scratch_dir("scrape-at-end");
+    let (every_tick, config) = scripted_session(&every_dir, true);
+    let (at_end, _) = scripted_session(&end_dir, false);
+    assert!(every_tick.contains("\"native_cost\""), "{every_tick}");
+    assert_eq!(every_tick, at_end);
+    let mut resumed = Daemon::resume(quick_scenario(), config).expect("resume");
+    assert_eq!(resumed.handle_line("GET metrics"), every_tick);
+    std::fs::remove_dir_all(&every_dir).ok();
+    std::fs::remove_dir_all(&end_dir).ok();
+}

@@ -213,6 +213,18 @@ impl<W: World> Simulation<W> {
         true
     }
 
+    /// Moves the clock forward to `t` without processing any event, the
+    /// way [`Simulation::run_until`] closes out at its horizon. Returns
+    /// false, leaving the clock as it is, if an event is due before `t`.
+    /// Events due exactly at `t` stay pending.
+    pub fn advance_clock(&mut self, t: SimTime) -> bool {
+        if self.queue.peek_time().is_some_and(|next| next < t) {
+            return false;
+        }
+        self.now = self.now.max(t);
+        true
+    }
+
     /// The number of events currently pending in the queue.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -303,6 +315,20 @@ mod tests {
         let reason = sim.run_until(SimTime::from_secs(10));
         assert_eq!(reason, StopReason::QueueEmpty);
         assert_eq!(sim.world().log.len(), 1);
+    }
+
+    #[test]
+    fn advance_clock_never_skips_an_event() {
+        let mut sim = Simulation::new(Recorder { log: Vec::new() });
+        sim.schedule_at(SimTime::from_secs(10), 2);
+        assert!(sim.advance_clock(SimTime::from_secs(4)));
+        assert_eq!(sim.now(), SimTime::from_secs(4));
+        // An event due at the target stays pending; one before it refuses.
+        assert!(sim.advance_clock(SimTime::from_secs(10)));
+        assert!(!sim.advance_clock(SimTime::from_secs(11)));
+        assert_eq!(sim.now(), SimTime::from_secs(10));
+        assert!(sim.world().log.is_empty());
+        assert_eq!(sim.steps(), 0);
     }
 
     #[test]
