@@ -24,9 +24,6 @@
 //!   decoder, plus `TraceCursor` vs per-lookup binary search on the
 //!   monotone price-query stream the simulation issues
 
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
 use spotcheck_core::policy::MappingPolicy;
 use spotcheck_core::sim::{run_policy, standard_traces, PolicyExperiment};
 use spotcheck_migrate::mechanisms::MechanismKind;
@@ -45,68 +42,8 @@ use spotcheck_spotmarket::market::MarketId;
 use spotcheck_spotmarket::profiles::profile_for;
 use spotcheck_spotmarket::trace::PriceTrace;
 
-/// Number of timed samples per benchmark (the median is reported).
-const SAMPLES: usize = 15;
-/// Minimum wall-clock per sample; iterations are batched up to this.
-const MIN_SAMPLE: Duration = Duration::from_millis(20);
-
-struct Report {
-    name: &'static str,
-    median_ns: f64,
-    min_ns: f64,
-    iters_per_sample: u64,
-}
-
-/// Times `f`, batching iterations so each sample runs at least
-/// [`MIN_SAMPLE`], and returns per-iteration medians.
-fn bench<R>(name: &'static str, mut f: impl FnMut() -> R) -> Report {
-    // Warmup + calibration: how many iterations fill MIN_SAMPLE?
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= MIN_SAMPLE {
-            break;
-        }
-        let grow = if elapsed.is_zero() {
-            16
-        } else {
-            ((MIN_SAMPLE.as_secs_f64() / elapsed.as_secs_f64()).ceil() as u64).clamp(2, 64)
-        };
-        iters = iters.saturating_mul(grow);
-    }
-    let mut per_iter_ns: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-    Report {
-        name,
-        median_ns: per_iter_ns[per_iter_ns.len() / 2],
-        min_ns: per_iter_ns[0],
-        iters_per_sample: iters,
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} us", ns / 1e3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
+mod common;
+use common::{bench, Report};
 
 /// Steady-state event-queue churn: keep ~1024 events pending; each step
 /// pops the earliest event and pushes a replacement `dt` past the popped
@@ -250,12 +187,7 @@ fn six_month_trace() -> PriceTrace {
 }
 
 fn main() {
-    let filter = std::env::args().nth(1).unwrap_or_default();
-    let filter = if filter == "--bench" {
-        String::new()
-    } else {
-        filter
-    };
+    let filter = common::filter_arg();
 
     let trace = six_month_trace();
     let end = SimTime::ZERO + SimDuration::from_days(183);
@@ -440,18 +372,5 @@ fn main() {
         }));
     }
 
-    println!(
-        "{:<28} {:>12} {:>12} {:>8}",
-        "benchmark", "median/iter", "min/iter", "batch"
-    );
-    println!("{}", "-".repeat(64));
-    for r in &reports {
-        println!(
-            "{:<28} {:>12} {:>12} {:>8}",
-            r.name,
-            fmt_ns(r.median_ns),
-            fmt_ns(r.min_ns),
-            r.iters_per_sample
-        );
-    }
+    common::print_reports(&reports);
 }

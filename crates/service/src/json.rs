@@ -55,39 +55,81 @@ impl Value {
     }
 }
 
+/// A scalar JSON value borrowed from the line being scanned (see
+/// [`scan_object`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
+    /// A string, with escapes decoded.
+    Str(&'a str),
+    /// A number.
+    Num(f64),
+    /// A boolean.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+impl Scalar<'_> {
+    fn to_value(self) -> Value {
+        match self {
+            Scalar::Str(s) => Value::Str(s.to_string()),
+            Scalar::Num(x) => Value::Num(x),
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Null => Value::Null,
+        }
+    }
+}
+
 /// Parses one flat JSON object into a key → value map.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax problem.
 pub fn parse_object(input: &str) -> Result<BTreeMap<String, Value>, String> {
+    let mut map = BTreeMap::new();
+    scan_object(input, |key, value| {
+        map.insert(key.to_string(), value.to_value());
+    })?;
+    Ok(map)
+}
+
+/// Checks one flat JSON object against the grammar of [`parse_object`] and
+/// hands each member to `member` in input order, without building a map.
+/// Keys and string values are decoded into two buffers reused across
+/// members.
+///
+/// # Errors
+///
+/// The same descriptions [`parse_object`] returns.
+pub fn scan_object(input: &str, mut member: impl FnMut(&str, Scalar<'_>)) -> Result<(), String> {
     let mut p = Parser {
         chars: input.char_indices().peekable(),
         input,
     };
+    let (mut key, mut text) = (String::new(), String::new());
     p.skip_ws();
     p.expect('{')?;
-    let mut map = BTreeMap::new();
     p.skip_ws();
     if p.eat('}') {
         p.skip_ws();
-        return p.finish(map);
+        return p.finish();
     }
     loop {
         p.skip_ws();
-        let key = p.string()?;
+        key.clear();
+        p.string(&mut key)?;
         p.skip_ws();
         p.expect(':')?;
         p.skip_ws();
-        let value = p.value()?;
-        map.insert(key, value);
+        text.clear();
+        member(&key, p.value(&mut text)?);
         p.skip_ws();
         if p.eat(',') {
             continue;
         }
         p.expect('}')?;
         p.skip_ws();
-        return p.finish(map);
+        return p.finish();
     }
 }
 
@@ -97,12 +139,9 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
-    fn finish(
-        &mut self,
-        map: BTreeMap<String, Value>,
-    ) -> Result<BTreeMap<String, Value>, String> {
+    fn finish(&mut self) -> Result<(), String> {
         match self.chars.next() {
-            None => Ok(map),
+            None => Ok(()),
             Some((i, c)) => Err(format!("trailing `{c}` at byte {i}")),
         }
     }
@@ -130,12 +169,11 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self, out: &mut String) -> Result<(), String> {
         self.expect('"')?;
-        let mut out = String::new();
         loop {
             match self.chars.next() {
-                Some((_, '"')) => return Ok(out),
+                Some((_, '"')) => return Ok(()),
                 Some((i, '\\')) => match self.chars.next() {
                     Some((_, '"')) => out.push('"'),
                     Some((_, '\\')) => out.push('\\'),
@@ -167,12 +205,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value<'b>(&mut self, text: &'b mut String) -> Result<Scalar<'b>, String> {
         match self.chars.peek() {
-            Some((_, '"')) => Ok(Value::Str(self.string()?)),
-            Some((_, 't')) => self.literal("true", Value::Bool(true)),
-            Some((_, 'f')) => self.literal("false", Value::Bool(false)),
-            Some((_, 'n')) => self.literal("null", Value::Null),
+            Some((_, '"')) => {
+                self.string(text)?;
+                Ok(Scalar::Str(text))
+            }
+            Some((_, 't')) => self.literal("true", Scalar::Bool(true)),
+            Some((_, 'f')) => self.literal("false", Scalar::Bool(false)),
+            Some((_, 'n')) => self.literal("null", Scalar::Null),
             Some((i, c)) if *c == '-' || c.is_ascii_digit() => {
                 let start = *i;
                 let mut end = self.input.len();
@@ -184,17 +225,18 @@ impl Parser<'_> {
                         break;
                     }
                 }
-                let text = &self.input[start..end];
-                text.parse()
-                    .map(Value::Num)
-                    .map_err(|_| format!("bad number `{text}`"))
+                let digits = &self.input[start..end];
+                digits
+                    .parse()
+                    .map(Scalar::Num)
+                    .map_err(|_| format!("bad number `{digits}`"))
             }
             Some((i, c)) => Err(format!("unsupported value starting `{c}` at byte {i}")),
             None => Err("expected a value, found end of input".to_string()),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+    fn literal<'b>(&mut self, word: &str, value: Scalar<'b>) -> Result<Scalar<'b>, String> {
         for want in word.chars() {
             match self.chars.next() {
                 Some((_, c)) if c == want => {}
@@ -233,6 +275,41 @@ mod tests {
         assert!(parse_object(r#"{"a": 1} extra"#).is_err());
         assert!(parse_object(r#"{"a": [1]}"#).is_err());
         assert!(parse_object(r#"{"a": {"b": 1}}"#).is_err());
+    }
+
+    #[test]
+    fn scan_sees_members_in_order_with_parse_errors() {
+        let mut seen = Vec::new();
+        scan_object(
+            r#"{"kind": "command", "n": 2, "ok": false, "x": null}"#,
+            |k, v| {
+                seen.push(format!("{k}={v:?}"));
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            seen,
+            [
+                "kind=Str(\"command\")",
+                "n=Num(2.0)",
+                "ok=Bool(false)",
+                "x=Null"
+            ]
+        );
+        for bad in [
+            "",
+            "{",
+            r#"{"a": }"#,
+            r#"{"a": 1} extra"#,
+            r#"{"a": [1]}"#,
+            r#"{"a": 1e}"#,
+        ] {
+            assert_eq!(
+                scan_object(bad, |_, _| {}).unwrap_err(),
+                parse_object(bad).unwrap_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use spotcheck_nestedvm::vm::NestedVmId;
 use spotcheck_simcore::time::{SimDuration, SimTime};
 use spotcheck_workloads::WorkloadKind;
 
-use crate::json::Value;
+use crate::json::{Scalar, Value};
 
 /// Graceful-shutdown signal latch (SIGTERM/SIGINT → atomic flag).
 #[cfg(unix)]
@@ -554,11 +554,20 @@ pub fn read_command_tail(path: &Path, from_seq: u64) -> std::io::Result<Vec<Time
         if line.trim().is_empty() {
             continue;
         }
-        let m = json::parse_object(&line)
-            .map_err(|e| invalid_data(format!("sink line {}: {e}", i + 1)))?;
-        if m.get("kind").and_then(Value::as_str) != Some("command") {
+        // Every line must be well formed, but only command lines are
+        // replayed, so the rest are checked without building a map.
+        let parse_error = |e| invalid_data(format!("sink line {}: {e}", i + 1));
+        let mut command = false;
+        json::scan_object(&line, |key, value| {
+            if key == "kind" {
+                command = value == Scalar::Str("command");
+            }
+        })
+        .map_err(parse_error)?;
+        if !command {
             continue;
         }
+        let m = json::parse_object(&line).map_err(parse_error)?;
         let get = |k: &str| {
             m.get(k)
                 .and_then(Value::as_u64)

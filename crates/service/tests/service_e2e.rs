@@ -288,6 +288,55 @@ fn sink_command_without_step_is_a_line_numbered_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every sink line is checked against the JSON grammar, not only command
+/// lines past the snapshot: a malformed entry of another kind, even one
+/// written before the snapshot's seq, is a line-numbered error with the
+/// parser's message.
+#[test]
+fn malformed_non_command_sink_line_is_a_line_numbered_error() {
+    let dir = scratch_dir("bad-entry");
+    let sink = dir.join("journal.jsonl");
+    let command = "{\"t\": 0.0, \"subsystem\": \"controller\", \"kind\": \"command\", \
+                   \"seq\": 0, \"step\": 0, \"cmd\": \"create_customer\", \"a\": 0, \"b\": 0, \"c\": 0}";
+    let entry = "{\"t\": 1.0, \"subsystem\": \"controller\", \"kind\": \"revocation_warning\"";
+    let cases = [
+        (
+            format!("{entry}, \"vm\": [1]}}"),
+            "sink line 2: unsupported value starting `[` at byte 74",
+        ),
+        (
+            format!("{entry}, \"vm\": 1}} x"),
+            "sink line 2: trailing `x` at byte 77",
+        ),
+        (
+            format!("{entry}, \"vm\": 1e}}"),
+            "sink line 2: bad number `1e`",
+        ),
+        (
+            format!("{entry}, \"vm\": \"a\\q\"}}"),
+            "sink line 2: bad escape `\\q` at byte 77",
+        ),
+        (
+            format!("{entry}, \"vm\": tru}}"),
+            "sink line 2: bad literal (expected `true`)",
+        ),
+        (
+            entry.to_string(),
+            "sink line 2: expected `}`, found end of input",
+        ),
+    ];
+    for (bad, want) in cases {
+        std::fs::write(&sink, format!("{command}\n{bad}\n")).expect("write sink");
+        let err = read_command_tail(&sink, 1).expect_err("malformed line refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), want, "line {bad:?}");
+    }
+    // The same lines, well formed, are skipped.
+    std::fs::write(&sink, format!("{command}\n{entry}, \"vm\": 1}}\n")).expect("write sink");
+    assert!(read_command_tail(&sink, 1).expect("valid sink").is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Drives a two-client session for a simulated day (two commands per
 /// ten-minute tick, snapshots every 6 h), scraping `GET metrics` every
 /// tick or only at the end, and returns the final metrics line.

@@ -11,8 +11,6 @@
 //! VM-to-backup checkpoint streams saturating the backup NIC past ~35 VMs,
 //! and concurrent lazy restores contending on the backup's disk read path.
 
-use std::collections::HashMap;
-
 use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
 /// Identifies a link within a [`Network`].
@@ -141,10 +139,24 @@ impl FlowSpec {
     }
 }
 
+/// A live flow of a [`FluidSim`].
 #[derive(Debug, Clone)]
-struct FlowState {
+struct Flow {
+    id: FlowId,
     spec: FlowSpec,
     rate_bps: f64,
+}
+
+impl AsRef<FlowSpec> for FlowSpec {
+    fn as_ref(&self) -> &FlowSpec {
+        self
+    }
+}
+
+impl AsRef<FlowSpec> for Flow {
+    fn as_ref(&self) -> &FlowSpec {
+        &self.spec
+    }
 }
 
 /// Computes weighted max-min fair rates for `flows` over `network` by
@@ -153,143 +165,215 @@ struct FlowState {
 /// Returns one rate per input flow, in input order. Flows with empty routes
 /// are limited only by their cap (infinite if uncapped).
 pub fn max_min_rates(network: &Network, flows: &[FlowSpec]) -> Vec<f64> {
-    let n = flows.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
-    }
-    let mut frozen = vec![false; n];
-    let mut remaining_cap: Vec<f64> = network.links.iter().map(|l| l.capacity_bps).collect();
+    let mut solver = Solver::default();
+    solver.solve(network, flows);
+    solver.rates
+}
 
-    // Freeze route-less flows at their cap immediately (they consume no
-    // shared capacity).
-    for (i, f) in flows.iter().enumerate() {
-        if f.route.is_empty() {
-            rates[i] = f.rate_cap_bps.unwrap_or(f64::INFINITY);
-            frozen[i] = true;
-        }
-    }
-
-    loop {
-        // Active weight per link.
-        let mut link_weight: HashMap<usize, f64> = HashMap::new();
-        let mut any_active = false;
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            any_active = true;
-            for l in &f.route {
-                *link_weight.entry(l.0).or_insert(0.0) += f.weight;
-            }
-        }
-        if !any_active {
-            break;
-        }
-
-        // The per-unit-weight fair increment each link supports.
-        // The flow-level share is then weight * min over its route; a capped
-        // flow may freeze earlier at its cap.
-        let mut best: Option<(f64, Freeze)> = None;
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            let route_unit = f
-                .route
-                .iter()
-                .map(|l| remaining_cap[l.0] / link_weight[&l.0])
-                .fold(f64::INFINITY, f64::min);
-            let fair_rate = f.weight * route_unit;
-            let (candidate_rate, how) = match f.rate_cap_bps {
-                Some(cap) if cap < fair_rate => (cap, Freeze::ByCap(i)),
-                _ => (fair_rate, Freeze::ByLink),
-            };
-            // Track the smallest *unit* increment across flows: for
-            // link-limited flows that is candidate_rate / weight; for
-            // cap-limited flows, cap / weight.
-            let unit = candidate_rate / f.weight;
-            if best.as_ref().map_or(true, |(u, _)| unit < *u) {
-                best = Some((unit, how));
-            }
-        }
-        // No candidate can only mean the active set produced no finite or
-        // infinite unit at all (e.g. every remaining flow sits on a
-        // zero-capacity link and numerics degenerated): freeze the stragglers
-        // at rate zero rather than panicking mid-simulation.
-        let Some((unit, how)) = best else {
-            break;
-        };
-
-        match how {
-            Freeze::ByCap(i) => {
-                // Freeze exactly the cap-limited flow at its cap, charge its
-                // route, and continue filling the rest. (`ByCap` is only
-                // constructed for capped flows; rate zero is the safe
-                // fallback if that invariant ever breaks.)
-                let cap = flows[i].rate_cap_bps.unwrap_or(0.0);
-                rates[i] = cap;
-                frozen[i] = true;
-                for l in &flows[i].route {
-                    remaining_cap[l.0] = (remaining_cap[l.0] - cap).max(0.0);
-                }
-            }
-            Freeze::ByLink => {
-                // Give every active flow `weight * unit` and freeze those on a
-                // now-saturated link.
-                let mut usage: HashMap<usize, f64> = HashMap::new();
-                for (i, f) in flows.iter().enumerate() {
-                    if frozen[i] {
-                        continue;
-                    }
-                    let r = f.weight * unit;
-                    rates[i] = r;
-                    for l in &f.route {
-                        *usage.entry(l.0).or_insert(0.0) += r;
-                    }
-                }
-                // Identify saturated links.
-                let mut saturated: Vec<usize> = Vec::new();
-                for (&l, &u) in &usage {
-                    if u >= remaining_cap[l] * (1.0 - 1e-9) {
-                        saturated.push(l);
-                    }
-                }
-                // Freeze flows crossing a saturated link; charge their usage.
-                for (i, f) in flows.iter().enumerate() {
-                    if frozen[i] {
-                        continue;
-                    }
-                    if f.route.iter().any(|l| saturated.contains(&l.0)) {
-                        frozen[i] = true;
-                        for l in &f.route {
-                            remaining_cap[l.0] = (remaining_cap[l.0] - rates[i]).max(0.0);
-                        }
-                    }
-                }
-                // Degenerate numeric case: nothing froze -> freeze everything
-                // at the current fair rate to guarantee termination.
-                if saturated.is_empty() {
-                    for (i, f) in flows.iter().enumerate() {
-                        if frozen[i] {
-                            continue;
-                        }
-                        frozen[i] = true;
-                        for l in &f.route {
-                            remaining_cap[l.0] = (remaining_cap[l.0] - rates[i]).max(0.0);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    rates
+/// Reusable scratch state for progressive filling.
+///
+/// Every per-link vector is indexed by [`LinkId`] and grows with the
+/// network, but a solve initialises and scans only the links on the routes
+/// it is given: a link belongs to the current solve when its `stamp` equals
+/// `epoch`. A solve therefore does no hashing and, once the vectors have
+/// grown, no allocation, and its cost does not depend on how many (dead)
+/// links the network has accumulated.
+#[derive(Debug, Default)]
+struct Solver {
+    epoch: u64,
+    stamp: Vec<u64>,
+    /// The links on this solve's routes, in first-touch order.
+    links: Vec<usize>,
+    /// Capacity not yet charged to frozen flows.
+    cap: Vec<f64>,
+    /// Total weight of the active flows crossing each link.
+    weight: Vec<f64>,
+    /// `cap / weight`: the per-unit-weight increment each link supports.
+    unit: Vec<f64>,
+    /// Rate the active flows would draw at the chosen increment.
+    usage: Vec<f64>,
+    saturated: Vec<bool>,
+    /// Total allocated rate per link (see [`Solver::tally_loads`]).
+    load: Vec<f64>,
+    /// Indices of the flows not yet frozen, in input order.
+    active: Vec<usize>,
+    /// One rate per input flow.
+    rates: Vec<f64>,
 }
 
 enum Freeze {
+    /// The active flow at this position in `Solver::active` freezes at its
+    /// cap.
     ByCap(usize),
     ByLink,
 }
+
+impl Solver {
+    /// Computes the max-min fair rates of `flows` into `self.rates`.
+    fn solve<F: AsRef<FlowSpec>>(&mut self, network: &Network, flows: &[F]) {
+        let m = network.links.len();
+        if self.stamp.len() < m {
+            self.stamp.resize(m, 0);
+            self.cap.resize(m, 0.0);
+            self.weight.resize(m, 0.0);
+            self.unit.resize(m, 0.0);
+            self.usage.resize(m, 0.0);
+            self.saturated.resize(m, false);
+            self.load.resize(m, 0.0);
+        }
+        self.epoch += 1;
+        self.links.clear();
+        self.active.clear();
+        self.rates.clear();
+        self.rates.resize(flows.len(), 0.0);
+
+        // Freeze route-less flows at their cap immediately (they consume no
+        // shared capacity); every other flow starts active, and its links
+        // start at full capacity.
+        for (i, f) in flows.iter().enumerate() {
+            let f = f.as_ref();
+            if f.route.is_empty() {
+                self.rates[i] = f.rate_cap_bps.unwrap_or(f64::INFINITY);
+                continue;
+            }
+            self.active.push(i);
+            for l in &f.route {
+                if self.stamp[l.0] != self.epoch {
+                    self.stamp[l.0] = self.epoch;
+                    self.links.push(l.0);
+                    self.cap[l.0] = network.links[l.0].capacity_bps;
+                }
+            }
+        }
+
+        while !self.active.is_empty() {
+            for &l in &self.links {
+                self.weight[l] = 0.0;
+            }
+            for &i in &self.active {
+                let f = flows[i].as_ref();
+                for l in &f.route {
+                    self.weight[l.0] += f.weight;
+                }
+            }
+            for &l in &self.links {
+                self.unit[l] = self.cap[l] / self.weight[l];
+            }
+
+            // The flow-level share is weight * the least unit on the route;
+            // a capped flow may freeze earlier at its cap. Track the smallest
+            // unit increment across flows (the first flow wins ties): for
+            // link-limited flows that is candidate_rate / weight; for
+            // cap-limited flows, cap / weight.
+            let mut best: Option<(f64, Freeze)> = None;
+            for (k, &i) in self.active.iter().enumerate() {
+                let f = flows[i].as_ref();
+                let route_unit = f
+                    .route
+                    .iter()
+                    .map(|l| self.unit[l.0])
+                    .fold(f64::INFINITY, f64::min);
+                let fair_rate = f.weight * route_unit;
+                let (candidate_rate, how) = match f.rate_cap_bps {
+                    Some(cap) if cap < fair_rate => (cap, Freeze::ByCap(k)),
+                    _ => (fair_rate, Freeze::ByLink),
+                };
+                let unit = candidate_rate / f.weight;
+                if best.as_ref().map_or(true, |(u, _)| unit < *u) {
+                    best = Some((unit, how));
+                }
+            }
+            // `active` is non-empty, so the first flow always sets `best`.
+            let Some((unit, how)) = best else { break };
+
+            match how {
+                Freeze::ByCap(k) => {
+                    // Freeze exactly the cap-limited flow at its cap, charge
+                    // its route, and continue filling the rest.
+                    let i = self.active.remove(k);
+                    let f = flows[i].as_ref();
+                    let cap = f.rate_cap_bps.unwrap_or(0.0);
+                    self.rates[i] = cap;
+                    for l in &f.route {
+                        self.cap[l.0] = (self.cap[l.0] - cap).max(0.0);
+                    }
+                }
+                Freeze::ByLink => {
+                    // Give every active flow `weight * unit`, then freeze
+                    // those crossing a now-saturated link and charge their
+                    // usage. If no link saturated (a degenerate numeric
+                    // case), freeze everything at the current fair rate to
+                    // guarantee termination.
+                    for &l in &self.links {
+                        self.usage[l] = 0.0;
+                    }
+                    for &i in &self.active {
+                        let f = flows[i].as_ref();
+                        let r = f.weight * unit;
+                        self.rates[i] = r;
+                        for l in &f.route {
+                            self.usage[l.0] += r;
+                        }
+                    }
+                    let mut any_saturated = false;
+                    for &i in &self.active {
+                        for l in &flows[i].as_ref().route {
+                            let s = self.usage[l.0] >= self.cap[l.0] * (1.0 - 1e-9);
+                            self.saturated[l.0] = s;
+                            any_saturated |= s;
+                        }
+                    }
+                    let Solver {
+                        active,
+                        cap,
+                        saturated,
+                        rates,
+                        ..
+                    } = self;
+                    active.retain(|&i| {
+                        let route = &flows[i].as_ref().route;
+                        let freeze = !any_saturated || route.iter().any(|l| saturated[l.0]);
+                        if freeze {
+                            for l in route {
+                                cap[l.0] = (cap[l.0] - rates[i]).max(0.0);
+                            }
+                        }
+                        !freeze
+                    });
+                }
+            }
+        }
+    }
+
+    /// Fills `load` with the total rate on each link of the last solve's
+    /// routes, summing in input order. A flow counts once per link even if
+    /// its route repeats the link.
+    fn tally_loads<F: AsRef<FlowSpec>>(&mut self, flows: &[F]) {
+        for &l in &self.links {
+            self.load[l] = EMPTY_SUM;
+        }
+        for (f, &r) in flows.iter().zip(&self.rates) {
+            let route = &f.as_ref().route;
+            for (k, l) in route.iter().enumerate() {
+                if !route[..k].contains(l) {
+                    self.load[l.0] += r;
+                }
+            }
+        }
+    }
+
+    /// The load [`Solver::tally_loads`] recorded for `link`.
+    fn link_load(&self, link: LinkId) -> f64 {
+        match self.stamp.get(link.0) {
+            Some(&s) if s == self.epoch => self.load[link.0],
+            _ => EMPTY_SUM,
+        }
+    }
+}
+
+/// An empty sum of rates. `Iterator::sum` over `f64` folds from negative
+/// zero, and link loads keep that bit pattern.
+const EMPTY_SUM: f64 = -0.0;
 
 /// Outcome of advancing a [`FluidSim`].
 #[derive(Debug, Clone, PartialEq)]
@@ -304,8 +388,10 @@ pub struct Advance {
 /// fair rates, and advances time to flow completions.
 pub struct FluidSim {
     network: Network,
-    flows: HashMap<FlowId, FlowState>,
-    order: Vec<FlowId>,
+    /// Live flows in id order: ids are handed out in increasing order, so
+    /// new flows append and lookups binary-search.
+    flows: Vec<Flow>,
+    solver: Solver,
     next_id: u64,
     now: SimTime,
     rates_valid: bool,
@@ -316,12 +402,20 @@ impl FluidSim {
     pub fn new(network: Network) -> Self {
         FluidSim {
             network,
-            flows: HashMap::new(),
-            order: Vec::new(),
+            flows: Vec::new(),
+            solver: Solver::default(),
             next_id: 0,
             now: SimTime::ZERO,
             rates_valid: false,
         }
+    }
+
+    fn flow(&self, id: FlowId) -> Option<&Flow> {
+        self.index(id).map(|k| &self.flows[k])
+    }
+
+    fn index(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
     }
 
     /// Returns the current simulation time.
@@ -347,27 +441,38 @@ impl FluidSim {
             weight.is_finite() && weight > 0.0,
             "flow weight must be positive, got {weight}"
         );
-        if let Some(st) = self.flows.get_mut(&id) {
-            st.spec.weight = weight;
-            self.rates_valid = false;
-            true
-        } else {
-            false
-        }
+        let Some(k) = self.index(id) else {
+            return false;
+        };
+        self.flows[k].spec.weight = weight;
+        self.rates_valid = false;
+        true
     }
 
     /// Adds a flow and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight is not finite and positive, the cap is negative
+    /// or NaN, or the byte count is NaN: any of these would allocate NaN or
+    /// negative rates.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
+        assert!(
+            spec.weight.is_finite() && spec.weight > 0.0,
+            "flow weight must be positive, got {}",
+            spec.weight
+        );
+        if let Some(cap) = spec.rate_cap_bps {
+            assert!(cap >= 0.0, "flow rate cap must be non-negative, got {cap}");
+        }
+        assert!(!spec.remaining_bytes.is_nan(), "flow bytes must not be NaN");
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            FlowState {
-                spec,
-                rate_bps: 0.0,
-            },
-        );
-        self.order.push(id);
+            spec,
+            rate_bps: 0.0,
+        });
         self.rates_valid = false;
         id
     }
@@ -375,27 +480,26 @@ impl FluidSim {
     /// Removes a flow before completion (e.g. a migration aborted); returns
     /// the bytes it still had outstanding, or `None` if unknown.
     pub fn remove_flow(&mut self, id: FlowId) -> Option<f64> {
-        let st = self.flows.remove(&id)?;
-        self.order.retain(|&f| f != id);
+        let flow = self.flows.remove(self.index(id)?);
         self.rates_valid = false;
-        Some(st.spec.remaining_bytes)
+        Some(flow.spec.remaining_bytes)
     }
 
     /// Returns the remaining bytes of a flow, if it exists.
     pub fn remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|s| s.spec.remaining_bytes)
+        self.flow(id).map(|f| f.spec.remaining_bytes)
     }
 
     /// Returns the route of a flow, if it exists.
     pub fn route(&self, id: FlowId) -> Option<&[LinkId]> {
-        self.flows.get(&id).map(|s| s.spec.route.as_slice())
+        self.flow(id).map(|f| f.spec.route.as_slice())
     }
 
     /// Returns the current allocated rate of a flow in bytes/second, if it
     /// exists. Rates are only meaningful after an [`FluidSim::advance`] or
     /// [`FluidSim::recompute_rates`].
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|s| s.rate_bps)
+        self.flow(id).map(|f| f.rate_bps)
     }
 
     /// Returns the number of active flows.
@@ -411,12 +515,7 @@ impl FluidSim {
         if !self.rates_valid {
             self.recompute_rates();
         }
-        self.order
-            .iter()
-            .filter_map(|id| self.flows.get(id))
-            .filter(|st| st.spec.route.contains(&link))
-            .map(|st| st.rate_bps)
-            .sum()
+        self.solver.link_load(link)
     }
 
     /// Recomputes max-min fair rates for the current flow set.
@@ -424,19 +523,11 @@ impl FluidSim {
         // Each recomputation is one fluid-simulation event (counted for the
         // experiment harness's throughput accounting).
         crate::metrics::add(1);
-        let specs: Vec<FlowSpec> = self
-            .order
-            .iter()
-            .map(|id| self.flows[id].spec.clone())
-            .collect();
-        let rates = max_min_rates(&self.network, &specs);
-        for (id, rate) in self.order.iter().zip(rates) {
-            // `order` and `flows` are kept in lockstep; skip (rather than
-            // panic on) an id that somehow left the map.
-            if let Some(st) = self.flows.get_mut(id) {
-                st.rate_bps = rate;
-            }
+        self.solver.solve(&self.network, &self.flows);
+        for (f, &rate) in self.flows.iter_mut().zip(&self.solver.rates) {
+            f.rate_bps = rate;
         }
+        self.solver.tally_loads(&self.flows);
         self.rates_valid = true;
     }
 
@@ -447,9 +538,9 @@ impl FluidSim {
             self.recompute_rates();
         }
         let mut best: Option<f64> = None;
-        for st in self.flows.values() {
-            if st.spec.remaining_bytes.is_finite() && st.rate_bps > 0.0 {
-                let t = st.spec.remaining_bytes / st.rate_bps;
+        for f in &self.flows {
+            if f.spec.remaining_bytes.is_finite() && f.rate_bps > 0.0 {
+                let t = f.spec.remaining_bytes / f.rate_bps;
                 if best.map_or(true, |b| t < b) {
                     best = Some(t);
                 }
@@ -495,22 +586,16 @@ impl FluidSim {
             // Harvest completions: a flow whose residue cannot sustain even
             // one microsecond of transfer at its current rate is done (the
             // epsilon absorbs the microsecond-grid rounding above).
-            let mut done: Vec<FlowId> = self
-                .order
-                .iter()
-                .copied()
-                .filter(|id| {
-                    let st = &self.flows[id];
-                    let eps = (st.rate_bps * 1e-6).max(1e-6);
-                    st.spec.remaining_bytes.is_finite() && st.spec.remaining_bytes <= eps
-                })
-                .collect();
-            if !done.is_empty() {
-                for id in &done {
-                    self.flows.remove(id);
-                    self.order.retain(|f| f != id);
+            let before = completed.len();
+            self.flows.retain(|f| {
+                let eps = (f.rate_bps * 1e-6).max(1e-6);
+                let done = f.spec.remaining_bytes.is_finite() && f.spec.remaining_bytes <= eps;
+                if done {
+                    completed.push(f.id);
                 }
-                completed.append(&mut done);
+                !done
+            });
+            if completed.len() > before {
                 self.rates_valid = false;
             } else if step == remaining {
                 break;
@@ -555,10 +640,9 @@ impl FluidSim {
 
     fn transfer_for(&mut self, dt: SimDuration) {
         let secs = dt.as_secs_f64();
-        for st in self.flows.values_mut() {
-            if st.spec.remaining_bytes.is_finite() {
-                st.spec.remaining_bytes =
-                    (st.spec.remaining_bytes - st.rate_bps * secs).max(0.0);
+        for f in &mut self.flows {
+            if f.spec.remaining_bytes.is_finite() {
+                f.spec.remaining_bytes = (f.spec.remaining_bytes - f.rate_bps * secs).max(0.0);
             }
         }
     }
@@ -790,6 +874,86 @@ mod tests {
         let adv = sim.advance(SimDuration::from_secs(1));
         assert!(adv.completed.is_empty());
         assert_eq!(adv.now, SimTime::from_secs(1));
+    }
+
+    /// A flow built as a struct literal, bypassing the builder's checks.
+    fn literal(weight: f64, cap: Option<f64>, bytes: f64) -> FlowSpec {
+        FlowSpec {
+            route: vec![LinkId(0)],
+            remaining_bytes: bytes,
+            rate_cap_bps: cap,
+            weight,
+        }
+    }
+
+    fn one_link_sim() -> FluidSim {
+        let mut net = Network::new();
+        net.add_link(MB);
+        FluidSim::new(net)
+    }
+
+    #[test]
+    #[should_panic(expected = "flow weight must be positive")]
+    fn add_flow_rejects_zero_weight() {
+        one_link_sim().add_flow(literal(0.0, None, MB));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow weight must be positive")]
+    fn add_flow_rejects_nan_weight() {
+        one_link_sim().add_flow(literal(f64::NAN, None, MB));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow weight must be positive")]
+    fn add_flow_rejects_infinite_weight() {
+        one_link_sim().add_flow(literal(f64::INFINITY, None, MB));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow rate cap must be non-negative")]
+    fn add_flow_rejects_negative_cap() {
+        one_link_sim().add_flow(literal(1.0, Some(-1.0), MB));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow rate cap must be non-negative")]
+    fn add_flow_rejects_nan_cap() {
+        one_link_sim().add_flow(literal(1.0, Some(f64::NAN), MB));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow bytes must not be NaN")]
+    fn add_flow_rejects_nan_bytes() {
+        one_link_sim().add_flow(literal(1.0, None, f64::NAN));
+    }
+
+    #[test]
+    fn link_load_counts_a_repeated_link_once() {
+        let mut net = Network::new();
+        let l = net.add_link(10.0 * MB);
+        let mut sim = FluidSim::new(net);
+        sim.add_flow(FlowSpec::new(vec![l, l], f64::INFINITY));
+        // The route charges the link twice, so the flow gets half of it,
+        // but the load counts that flow once.
+        assert_eq!(sim.link_load(l), 5.0 * MB);
+    }
+
+    #[test]
+    fn recompute_cost_ignores_links_off_live_routes() {
+        // Thousands of dead links (revoked hosts' NICs) stay in the network;
+        // a solve touches only the links on live routes.
+        let mut net = Network::new();
+        for _ in 0..5_000 {
+            net.add_link(0.0);
+        }
+        let l = net.add_link(10.0 * MB);
+        let mut sim = FluidSim::new(net);
+        sim.add_flow(FlowSpec::new(vec![l], f64::INFINITY));
+        sim.recompute_rates();
+        assert_eq!(sim.solver.links, vec![l.0]);
+        assert_eq!(sim.link_load(LinkId(0)).to_bits(), EMPTY_SUM.to_bits());
+        assert_eq!(sim.link_load(l), 10.0 * MB);
     }
 
     #[test]
